@@ -23,7 +23,7 @@ subcommand     what it does
 ``scenarios``  the scenario-matrix batch runner (the former
                ``python -m repro.runner`` CLI, unchanged flags)
 ``fuzz``       the differential fuzz sweep (:mod:`repro.fuzz`): random
-               programs/EDBs through every backend x strategy x kernel,
+               programs/EDBs through every path x strategy x kernel,
                divergences delta-debugged to minimized regression files
 ``bench``      the trajectory benchmark suites
                (``benchmarks/run_bench.py``)
@@ -266,8 +266,9 @@ def _parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--iterations", type=int, default=50,
                       help="number of cases to draw (default: 50)")
     fuzz.add_argument("--matrix", choices=("full", "quick"), default="full",
-                      help="evaluation matrix: full = every backend x "
-                           "strategy, quick = one strategy per backend")
+                      help="evaluation matrix: full = every path x "
+                           "strategy, quick = the oracle plus each "
+                           "path's semi-naive cell")
     fuzz.add_argument("--shrink", dest="shrink", action="store_true",
                       default=True,
                       help="delta-debug failures to minimal reproducers "

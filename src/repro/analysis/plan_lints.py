@@ -1,4 +1,4 @@
-"""Join-plan lints: cost hazards the fused kernels silently absorb.
+"""Join-plan lints: cost hazards the batch kernels silently absorb.
 
 Each rule is compiled to its naive-variant :class:`JoinPlan`
 (``delta_index=None``) and the step stream is inspected:
@@ -15,7 +15,7 @@ Each rule is compiled to its naive-variant :class:`JoinPlan`
   index.
 * **W002 dead-register** — a register bound by ``OP_BIND`` that no
   later check, index probe, or head projection ever reads: a body
-  variable joined on nothing and projected away.  The fused kernels
+  variable joined on nothing and projected away.  The batch kernels
   eliminate these at execution time; the lint surfaces them so the
   rule author can too.
 

@@ -1,14 +1,11 @@
-"""Columnar relation storage and batch join kernels.
+"""Columnar relation storage and batch join kernels: the fast
+evaluation path.
 
-The compiled plan path (:mod:`repro.datalog.plan`) already fixes the
-join order and interns constants, but it still *executes* one Python
-tuple at a time: ``ResolvedPlan.execute`` recurses row by row through
-the register program.  At 10^5--10^6 EDB facts that per-row
-interpretation dominates.  This module is the data-plane analogue of
-the bitset automaton kernel (PR 2): a representation change that lets
-the hot loops run inside the CPython C runtime.
-
-Three ideas, in the spirit of Souffle-style compiled Datalog:
+:mod:`repro.datalog.plan` fixes each rule's join order and register
+program once; this module executes those plans over whole relations at
+a time, so the hot loops run inside the CPython C runtime instead of
+one Python tuple at a time.  Four ideas, in the spirit of Souffle-style
+compiled Datalog:
 
 * **Columnar, interned relations.**  :class:`ColumnStore` keeps each
   relation as parallel ``array('q')`` columns of interned constant
@@ -21,14 +18,17 @@ Three ideas, in the spirit of Souffle-style compiled Datalog:
   ``clear_shared_caches()`` / ``Session.clear_caches()`` (cold
   benchmark mode) drop it along with the automaton caches and two live
   sessions never share images.
-* **Batch execution of join plans.**  :func:`execute_batch` runs a
+* **Batch execution of join plans.**  :func:`execute_plan` runs a
   :class:`~repro.datalog.plan.ResolvedPlan` over a whole frontier at
   once.  The frontier is a set of register *columns*; each plan step
   probes a hash index with ``dict.get``, fans out matches with C-level
-  ``list.extend``/``itertools.repeat``, gathers columns with
-  ``map(array.__getitem__, ids)``, and applies residual
-  constant/equality checks as vectorized filters.  No per-row Python
-  function calls, no recursion.
+  ``list.extend``/``itertools.repeat``, and gathers columns with
+  ``map(array.__getitem__, ids)``.  No per-row Python function calls,
+  no recursion.
+* **Fused kernels.**  Bitmap semijoin pre-filters, radix-partitioned
+  hash joins for scans that equi-join the frontier, and filter+project
+  fused with dead-register elimination (see the comment above
+  :func:`execute_plan`).
 * **Packed-key dedup.**  A derived row is identified by one Python
   int -- its column ids packed positionally with base ``B`` (the
   sealed interner size) -- so deduplication against the stable store
@@ -36,19 +36,17 @@ Three ideas, in the spirit of Souffle-style compiled Datalog:
   and only the genuinely fresh rows are unpacked back into columns.
 
 The drivers :func:`columnar_naive` and :func:`columnar_seminaive`
-mirror :func:`~repro.datalog.plan.compiled_naive` /
-:func:`~repro.datalog.plan.compiled_seminaive` stage by stage, so
-results -- ``idb`` rows, ``stages``, ``fixpoint`` -- are bit-identical
-to both the row-at-a-time compiled path and the interpretive reference
-(asserted by the differential fuzz suite in ``tests/test_columnar.py``).
+mirror the interpretive ``naive_evaluate`` / ``seminaive_evaluate``
+stage by stage, so results -- ``idb`` rows, ``stages``, ``fixpoint``
+-- are bit-identical to that oracle (asserted by the differential
+suites in ``tests/test_columnar.py`` and the fuzz harness).
 
     >>> from repro.datalog.parser import parse_program
     >>> from repro.datalog.database import Database
     >>> from repro.datalog.engine import Engine, EngineConfig
     >>> program = parse_program('p(X, Y) :- e(X, Z), e(Z, Y).')
     >>> db = Database.from_facts([("e", ("a", "b")), ("e", ("b", "c"))])
-    >>> sorted(Engine(EngineConfig(backend="columnar"))
-    ...        .query(program, db, "p"))
+    >>> sorted(Engine(EngineConfig()).query(program, db, "p"))
     [(Constant('a'), Constant('c'))]
 """
 
@@ -75,8 +73,7 @@ __all__ = [
     "columnar_naive",
     "columnar_seminaive",
     "edb_image",
-    "execute_batch",
-    "execute_batch_fused",
+    "execute_plan",
     "peek_image",
 ]
 
@@ -111,15 +108,16 @@ def _pack(cols: Sequence[Sequence[int]], n: int, base: int) -> List[int]:
     return keys
 
 
-def _unpack(keys: Iterable[int], arity: int, base: int) -> List[List[int]]:
+def _unpack(keys: Sequence[int], arity: int, base: int) -> List[List[int]]:
     """Invert :func:`_pack`: per-row keys back into parallel columns."""
     if arity == 0:
         return []
     if arity == 1:
         return [list(keys)]
     if arity == 2:
-        pairs = [divmod(k, base) for k in keys]
-        return [[a for a, _ in pairs], [b for _, b in pairs]]
+        # Two plain int-op passes: cheaper than one divmod pass that
+        # allocates a pair tuple per row.
+        return [[k // base for k in keys], [k % base for k in keys]]
     cols: List[List[int]] = [[] for _ in range(arity)]
     appends = [col.append for col in cols]
     for key in keys:
@@ -179,7 +177,7 @@ class EdbImage:
         self.counts: Dict[str, int] = {}
         self.domain: Set[int] = set()
         self.indexes: Dict[Tuple[str, int], Dict[int, List[int]]] = {}
-        # Materialized-view cache of the fused path: (predicate, arity,
+        # Materialized-view cache of derived relations: (predicate, arity,
         # base, packed keyset) -> frozenset of constant rows.  Keyed by
         # the exact derived content, so repeated evaluations of the
         # same program skip re-building 10^5 constant tuples.
@@ -353,27 +351,23 @@ def adopt_image(database: Database, image: EdbImage, scope=None) -> bool:
 # ----------------------------------------------------------------------
 
 class ColumnStore:
-    """Columnar counterpart of :class:`~repro.datalog.plan.PlanStore`.
+    """The mutable relation store of one columnar evaluation.
 
     Extensional relations are *shared* with the cached
     :class:`EdbImage`; relations the program derives into (the IDB
     predicates) get private copies of their columns, packed-key sets,
-    and indexes, maintained incrementally per batch insert.  Duck-types
-    the ``resolve``/``require_index``/``indexing`` surface that
-    :meth:`~repro.datalog.plan.JoinPlan.resolve` binds against, so the
-    same compiled :class:`~repro.datalog.plan.JoinPlan` serves both
-    backends.
+    and indexes, maintained incrementally per batch insert.
+    :meth:`~repro.datalog.plan.JoinPlan.resolve` binds compiled plans
+    against it through :meth:`resolve`.
     """
 
     __slots__ = ("_image", "_idb", "_ids", "_values", "_domain", "_cols",
-                 "_counts", "_keys", "_indexes", "_arity", "_fused", "base")
+                 "_counts", "_keys", "_indexes", "_arity", "base")
 
-    def __init__(self, database: Database, idb: Iterable[str], *,
-                 fused: bool = False):
+    def __init__(self, database: Database, idb: Iterable[str]):
         image = edb_image(database)
         self._image = image
         self._idb = frozenset(idb)
-        self._fused = fused
         # The interner is shared (append-only); the domain is private
         # (programs add their constants and derived values to it).
         self._ids = image.ids
@@ -393,14 +387,9 @@ class ColumnStore:
                 self._cols[predicate] = [list(col) for col in cols]
                 self._counts[predicate] = image.counts[predicate]
 
-    # -- JoinPlan.resolve surface --------------------------------------
-
-    indexing = True
-    interning = True
-
     def resolve(self, constant: Constant):
         """Intern *constant*; resolved constants join the active domain
-        (mirroring the row-at-a-time path)."""
+        (as program constants do in the interpretive path)."""
         ident = self._ids.get(constant)
         if ident is None:
             ident = len(self._values)
@@ -408,12 +397,6 @@ class ColumnStore:
             self._values.append(constant)
         self._domain.add(ident)
         return ident
-
-    def require_index(self, predicate: str, position: int) -> None:
-        """No-op hook of the ``JoinPlan.resolve`` surface: columnar
-        indexes are built lazily at first probe (in the shared image
-        for extensional relations, privately for derived ones), so
-        registration carries no state."""
 
     # -- relation access ----------------------------------------------
 
@@ -485,14 +468,7 @@ class ColumnStore:
             return None
         existing.update(fresh)
         fresh_keys = list(fresh)
-        if self._fused and arity == 2:
-            # Fused fast path: two plain int-op passes instead of one
-            # divmod pass that allocates a pair tuple per row.
-            base = self.base
-            fresh_cols = [[k // base for k in fresh_keys],
-                          [k % base for k in fresh_keys]]
-        else:
-            fresh_cols = _unpack(fresh_keys, arity, self.base)
+        fresh_cols = _unpack(fresh_keys, arity, self.base)
         cols = self._cols.get(predicate)
         if cols is None:
             cols = self._cols[predicate] = [[] for _ in range(arity)]
@@ -523,12 +499,12 @@ class ColumnStore:
         """The relation as a frozenset of constant tuples -- C-level
         ``zip`` over ``map``-translated columns.
 
-        Under the fused kernels the result is memoized on the shared
-        :class:`EdbImage` keyed by the *exact* packed keyset (plus
-        predicate, arity and packed base, so re-interpretation under a
-        different interner state can never alias): re-deriving the same
-        relation -- warm benchmark repeats, repeated service decisions
-        -- skips re-building the constant tuples entirely.  The key
+        Derived relations are memoized on the shared :class:`EdbImage`
+        keyed by the *exact* packed keyset (plus predicate, arity and
+        packed base, so re-interpretation under a different interner
+        state can never alias): re-deriving the same relation -- warm
+        benchmark repeats, repeated service decisions -- skips
+        re-building the constant tuples entirely.  The key
         match is by content equality, not by hash alone, so a hit is
         always the identical relation.
         """
@@ -539,7 +515,7 @@ class ColumnStore:
         if not cols:  # 0-ary relation with at least one (empty) row
             return frozenset({()})
         cache_key = None
-        if self._fused and predicate in self._idb:
+        if predicate in self._idb:
             image = self._image
             cache_key = (predicate, len(cols), self.base,
                          frozenset(self.keyset(predicate)))
@@ -557,169 +533,11 @@ class ColumnStore:
 
 # ----------------------------------------------------------------------
 # Batch plan execution.
-# ----------------------------------------------------------------------
-
-def _gather(column: Sequence[int], ids: List[int]) -> List[int]:
-    return list(map(column.__getitem__, ids))
-
-
-def execute_batch(rplan: ResolvedPlan, store: ColumnStore, domain,
-                  delta: Optional[Batch] = None,
-                  dedup: Optional[Set[int]] = None) -> List[int]:
-    """One application of *rplan* over whole column slices.
-
-    Returns the packed keys of the derived head rows that are not in
-    *dedup* (the stable store's keyset), deduplicated within the batch.
-    Set semantics throughout: the *set* of returned rows is exactly
-    what :meth:`ResolvedPlan.execute` would derive minus *dedup*.
-    """
-    check_deadline()
-    regs: Dict[int, List[int]] = {}
-    n = -1  # -1: virgin frontier (one empty row)
-    for predicate, use_delta, index_spec, ops in rplan.steps:
-        if use_delta:
-            rel_cols: Sequence[Sequence[int]] = delta.cols
-            rel_n = delta.n
-        else:
-            rel_cols = store.cols(predicate)
-            rel_n = store.count(predicate)
-
-        # --- candidate (frontier row, relation row) pairs ---
-        out_f = None
-        if not use_delta and index_spec is not None:
-            position, is_reg, payload = index_spec
-            index, unique = store.index(predicate, position)
-            if is_reg and n >= 0:
-                key_col = regs[payload]
-                if unique:
-                    # Unique-key probe: one C-level map, then a single
-                    # compress pass when some keys missed.
-                    hits = list(map(index.get, key_col))
-                    if None in hits:
-                        out_f = [i for i, h in enumerate(hits)
-                                 if h is not None]
-                        out_r = _gather(hits, out_f)
-                    else:
-                        out_r = hits
-                        out_f = range(n)
-                else:
-                    out_f, out_r = [], []
-                    extend_f, extend_r = out_f.extend, out_r.extend
-                    get = index.get
-                    for i, value in enumerate(key_col):
-                        ids = get(value)
-                        if ids is not None:
-                            extend_r(ids)
-                            extend_f(repeat(i, len(ids)))
-            else:
-                # Constant probe (or a reg probe off a virgin frontier,
-                # which compilation never emits).
-                ids = index.get(payload if not is_reg else None)
-                if ids is None:
-                    return []
-                if unique:
-                    ids = [ids]
-                if n <= 0:
-                    out_r = list(ids)
-                    if n == 0:
-                        return []
-                else:
-                    out_r = list(ids) * n
-                    out_f = [i for i in range(n) for _ in ids]
-        else:
-            # Full scan (or delta scan): cross product with the frontier.
-            if rel_n == 0:
-                return []
-            if n <= 0:
-                if n == 0:
-                    return []
-                out_r = list(range(rel_n))
-            else:
-                out_r = list(range(rel_n)) * n
-                out_f = [i for i in range(n) for _ in range(rel_n)]
-
-        if not out_r:
-            return []
-
-        # --- residual ops: vectorized filters, deferred binds ---
-        pending_binds: Dict[int, int] = {}  # reg -> relation position
-        gathered: Dict[int, List[int]] = {}
-        for position, op, payload in ops:
-            if op == OP_BIND:
-                pending_binds[payload] = position
-                continue
-            column = gathered.get(position)
-            if column is None:
-                column = gathered[position] = _gather(rel_cols[position],
-                                                      out_r)
-            if op == OP_CONST:
-                keep = [j for j, v in enumerate(column) if v == payload]
-            else:  # OP_CHECK
-                bound_pos = pending_binds.get(payload)
-                if bound_pos is not None:
-                    other = gathered.get(bound_pos)
-                    if other is None:
-                        other = gathered[bound_pos] = _gather(
-                            rel_cols[bound_pos], out_r)
-                else:
-                    other = (_gather(regs[payload], out_f)
-                             if out_f is not None else [])
-                keep = [j for j, pair in enumerate(zip(column, other))
-                        if pair[0] == pair[1]]
-            if len(keep) != len(column):
-                if not keep:
-                    return []
-                out_r = _gather(out_r, keep)
-                if out_f is not None:
-                    out_f = _gather(out_f, keep)
-                gathered = {pos: _gather(col, keep)
-                            for pos, col in gathered.items()}
-
-        # --- build the next frontier's register columns ---
-        next_regs: Dict[int, List[int]] = {}
-        if out_f is not None:
-            if type(out_f) is range:  # identity selection (full unique hit)
-                next_regs.update(regs)
-            else:
-                for reg, column in regs.items():
-                    next_regs[reg] = _gather(column, out_f)
-        for reg, position in pending_binds.items():
-            column = gathered.get(position)
-            if column is None:
-                column = _gather(rel_cols[position], out_r)
-            next_regs[reg] = column
-        regs = next_regs
-        n = len(out_r)
-
-    if n < 0:
-        n = 1  # empty body: one empty binding
-    if n == 0:
-        return []
-
-    # --- unsafe head variables range over the active domain ---
-    for reg in rplan.unsafe_regs:
-        m = len(domain)
-        if m == 0:
-            return []
-        spread = [i for i in range(n) for _ in range(m)]
-        regs = {r: _gather(col, spread) for r, col in regs.items()}
-        regs[reg] = list(domain) * n
-        n *= m
-
-    # --- emit: head columns -> packed keys -> dedup ---
-    head_cols = [regs[payload] if is_reg else [payload] * n
-                 for is_reg, payload in rplan.head_ops]
-    keys = _pack(head_cols, n, store.base)
-    if dedup:
-        return list(set(keys).difference(dedup))
-    return list(set(keys))
-
-
-# ----------------------------------------------------------------------
-# Fused batch kernels.
 #
-# Same candidate sets, same derived keys -- less Python in between.
-# Three techniques on top of execute_batch:
+# Each step turns the frontier (register columns, one entry per partial
+# binding) and one relation into candidate (frontier row, relation row)
+# pairs, filters them, and gathers the next frontier's columns.  Three
+# techniques keep Python out of the per-row work:
 #
 # * **Bitmap semijoin pre-filters.**  Register probes first compute a
 #   membership bitmap with one C-level ``map(index.__contains__, ...)``
@@ -728,13 +546,13 @@ def execute_batch(rplan: ResolvedPlan, store: ColumnStore, domain,
 #   join.  On BFS-shaped workloads (reach deltas re-probing visited
 #   nodes) most of the frontier dies in the bitmap.
 # * **Radix-partitioned hash joins.**  A delta or full scan whose atom
-#   equi-joins an earlier-bound register no longer cross-products the
-#   frontier and filters: the scan side is partitioned by its join
+#   equi-joins an earlier-bound register does not cross-product the
+#   frontier and filter: the scan side is partitioned by its join
 #   column into per-key row buckets (single-level radix on the full
 #   key -- CPython dict buckets; finer bit-level passes lose to the
 #   dict) and probed with the frontier's register column like any
-#   other index.  Turns the O(frontier x relation) candidate build
-#   into O(frontier + relation + matches).
+#   other index.  The candidate build is O(frontier + relation +
+#   matches), not O(frontier x relation).
 # * **Fused filter+project.**  Constant and same-atom equality filters
 #   on scan steps are applied to the relation *before* it meets the
 #   frontier (``map(payload.__eq__, col)`` bitmaps -- the filtered
@@ -745,12 +563,17 @@ def execute_batch(rplan: ResolvedPlan, store: ColumnStore, domain,
 #   ``out_f`` entirely.
 #
 # The metadata is compiled once per ResolvedPlan (cached on its
-# ``fused`` slot).  Bit-identity with execute_batch is asserted by the
-# differential fuzz harness (EVAL_MATRIX cells) and tests/test_columnar.
+# ``meta`` slot).  Bit-identity with the interpretive oracle is
+# asserted by the differential fuzz harness (EVAL_MATRIX cells) and
+# tests/test_columnar.
 # ----------------------------------------------------------------------
 
-class _FusedStep:
-    """Precompiled per-step metadata for :func:`execute_batch_fused`."""
+def _gather(column: Sequence[int], ids: List[int]) -> List[int]:
+    return list(map(column.__getitem__, ids))
+
+
+class _StepMeta:
+    """Precompiled per-step metadata for :func:`execute_plan`."""
 
     __slots__ = ("scan", "const_ops", "samestep", "join_check", "residual",
                  "binds", "live_binds", "carry", "needs_f")
@@ -768,7 +591,7 @@ class _FusedStep:
         self.needs_f = needs_f        # must out_f be materialized?
 
 
-def _compile_fused(rplan: ResolvedPlan) -> Tuple[_FusedStep, ...]:
+def _compile_meta(rplan: ResolvedPlan) -> Tuple[_StepMeta, ...]:
     """Liveness analysis + filter pushdown over the register program."""
     steps = rplan.steps
     nsteps = len(steps)
@@ -788,7 +611,7 @@ def _compile_fused(rplan: ResolvedPlan) -> Tuple[_FusedStep, ...]:
         if index_spec is not None and index_spec[1]:
             needed.add(index_spec[2])
 
-    fused: List[_FusedStep] = []
+    metas: List[_StepMeta] = []
     bound: frozenset = frozenset()  # live regs entering the step
     for i, (predicate, use_delta, index_spec, ops) in enumerate(steps):
         live = live_after[i]
@@ -826,10 +649,10 @@ def _compile_fused(rplan: ResolvedPlan) -> Tuple[_FusedStep, ...]:
                                      for _, op, payload in residual
                                      if op == OP_CHECK)
         live_binds = tuple((pos, reg) for pos, reg in binds if reg in live)
-        fused.append(_FusedStep(scan, const_ops, samestep, join_check,
-                                residual, binds, live_binds, carry, needs_f))
+        metas.append(_StepMeta(scan, const_ops, samestep, join_check,
+                               residual, binds, live_binds, carry, needs_f))
         bound = (bound | bind_regs) & live
-    return tuple(fused)
+    return tuple(metas)
 
 
 def _probe_multi(index, key_col, n: int, needs_f: bool):
@@ -853,18 +676,20 @@ def _probe_multi(index, key_col, n: int, needs_f: bool):
     return out_f, out_r
 
 
-def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
-                        delta: Optional[Batch] = None,
-                        dedup: Optional[Set[int]] = None) -> List[int]:
-    """Fused-kernel twin of :func:`execute_batch`.
+def execute_plan(rplan: ResolvedPlan, store: ColumnStore, domain,
+                 delta: Optional[Batch] = None,
+                 dedup: Optional[Set[int]] = None) -> List[int]:
+    """One application of *rplan* over whole column slices.
 
-    Same contract bit for bit: returns the packed keys of the derived
-    head rows not in *dedup*, deduplicated within the batch.
+    Returns the packed keys of the derived head rows that are not in
+    *dedup* (the stable store's keyset), deduplicated within the batch.
+    When *delta* is given, the plan's delta step scans it instead of
+    the store.
     """
     check_deadline()
-    meta = rplan.fused
+    meta = rplan.meta
     if meta is None:
-        meta = rplan.fused = _compile_fused(rplan)
+        meta = rplan.meta = _compile_meta(rplan)
     regs: Dict[int, Sequence[int]] = {}
     n = -1  # -1: virgin frontier (one empty row)
     for (predicate, use_delta, index_spec, _ops), step in zip(rplan.steps,
@@ -922,7 +747,7 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
                 return []
             else:
                 # Genuine cross product with the frontier (no shared
-                # variables) -- rare, mirrors the basic path.
+                # variables) -- rare.
                 rows = list(range(rel_n)) if sel is None else sel
                 out_r = rows * n
                 out_f = [i for i in range(n) for _ in rows]
@@ -1046,7 +871,8 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
 
 
 # ----------------------------------------------------------------------
-# Fixpoint drivers (stage/fixpoint bookkeeping mirrors plan.py).
+# Fixpoint drivers (stage/fixpoint bookkeeping mirrors the interpretive
+# naive_evaluate / seminaive_evaluate).
 # ----------------------------------------------------------------------
 
 def _resolved_plans(program: Program, store: ColumnStore, cache: PlanCache):
@@ -1058,16 +884,16 @@ def _resolved_plans(program: Program, store: ColumnStore, cache: PlanCache):
 
 def columnar_naive(program: Program, database: Database,
                    max_stages: Optional[int] = None, *,
-                   cache: Optional[PlanCache] = None,
-                   joins: str = "basic"):
-    """Naive rounds over batch-executed plans; same return shape and
-    stage bookkeeping as :func:`~repro.datalog.plan.compiled_naive`.
-    ``joins="fused"`` routes through :func:`execute_batch_fused`."""
+                   cache: Optional[PlanCache] = None):
+    """Naive rounds over batch-executed plans.
+
+    Returns ``(idb, stages, fixpoint)`` with ``idb`` mapping each IDB
+    predicate to a frozenset of constant rows; stage bookkeeping is
+    that of the interpretive ``naive_evaluate``.
+    """
     cache = PlanCache() if cache is None else cache
-    fused = joins == "fused"
-    run = execute_batch_fused if fused else execute_batch
     idb = program.idb_predicates
-    store = ColumnStore(database, idb, fused=fused)
+    store = ColumnStore(database, idb)
     full = _resolved_plans(program, store, cache)
     store.seal()
     needs_domain = any(rplan.unsafe_regs for _, _, _, rplan in full)
@@ -1078,8 +904,8 @@ def columnar_naive(program: Program, database: Database,
         domain = store.domain() if needs_domain else ()
         derived: Dict[str, Tuple[Set[int], int]] = {}
         for _, head_predicate, arity, rplan in full:
-            keys = run(rplan, store, domain,
-                       dedup=store.keyset(head_predicate))
+            keys = execute_plan(rplan, store, domain,
+                                dedup=store.keyset(head_predicate))
             entry = derived.get(head_predicate)
             if entry is None:
                 derived[head_predicate] = (set(keys), arity)
@@ -1100,16 +926,13 @@ def columnar_naive(program: Program, database: Database,
 
 def columnar_seminaive(program: Program, database: Database,
                        max_stages: Optional[int] = None, *,
-                       cache: Optional[PlanCache] = None,
-                       joins: str = "basic"):
-    """Semi-naive deltas over batch-executed plans; mirrors
-    :func:`~repro.datalog.plan.compiled_seminaive`.
-    ``joins="fused"`` routes through :func:`execute_batch_fused`."""
+                       cache: Optional[PlanCache] = None):
+    """Semi-naive deltas over batch-executed plans (one plan per IDB
+    body occurrence); same return shape as :func:`columnar_naive`,
+    stage bookkeeping of the interpretive ``seminaive_evaluate``."""
     cache = PlanCache() if cache is None else cache
-    fused = joins == "fused"
-    run = execute_batch_fused if fused else execute_batch
     idb = program.idb_predicates
-    store = ColumnStore(database, idb, fused=fused)
+    store = ColumnStore(database, idb)
     full = _resolved_plans(program, store, cache)
     delta_plans = [
         [(index, cache.plan(rule, index).resolve(store))
@@ -1145,8 +968,8 @@ def columnar_seminaive(program: Program, database: Database,
     # (later rules see earlier rules' insertions, as in the reference).
     delta: Dict[str, Optional[Batch]] = {p: None for p in idb}
     for _, head_predicate, arity, rplan in full:
-        keys = run(rplan, store, domain,
-                   dedup=store.keyset(head_predicate))
+        keys = execute_plan(rplan, store, domain,
+                            dedup=store.keyset(head_predicate))
         _merge_delta(delta, head_predicate,
                      store.add_keys(head_predicate, keys, arity))
     any_delta = any(delta.values())
@@ -1163,8 +986,8 @@ def columnar_seminaive(program: Program, database: Database,
                 focus = delta.get(rule.body[index].predicate)
                 if not focus:
                     continue
-                keys = run(rplan, store, domain, delta=focus,
-                           dedup=store.keyset(head_predicate))
+                keys = execute_plan(rplan, store, domain, delta=focus,
+                                    dedup=store.keyset(head_predicate))
                 fresh = store.add_keys(head_predicate, keys, arity)
                 if _merge_delta(new_delta, head_predicate, fresh):
                     changed = True

@@ -2,16 +2,15 @@
 
 Two execution paths compute the same fixpoints:
 
+* the *compiled* path (the default, and the fast one) compiles each
+  rule once into a :class:`~repro.datalog.plan.JoinPlan` and executes
+  it as batch kernels over interned column stores
+  (:mod:`repro.datalog.columns`);
 * the *interpretive* path (:func:`naive_evaluate`,
   :func:`seminaive_evaluate`) re-derives a greedy join order on every
-  rule application -- kept as the reference implementation;
-* the *compiled* path compiles each rule once into a
-  :class:`~repro.datalog.plan.JoinPlan`, interns constants to small
-  ints, and maintains hash indexes incrementally.  Two data planes
-  execute those plans: the columnar batch backend
-  (:mod:`repro.datalog.columns`, the default) and the row-at-a-time
-  :class:`~repro.datalog.plan.PlanStore` reference
-  (``EngineConfig(backend="rows")``).
+  rule application over plain constant tuples.  It shares no code
+  with the compiled path and is kept as its oracle
+  (``EngineConfig(compiled=False)``).
 
 Both are wrapped by :class:`Engine`, configured by
 :class:`EngineConfig`; the module-level :func:`evaluate` and
@@ -40,7 +39,7 @@ from .atoms import Atom
 from .columns import columnar_naive, columnar_seminaive
 from .database import Database
 from .errors import UnsafeProgramError, ValidationError
-from .plan import PlanCache, compiled_naive, compiled_seminaive
+from .plan import PlanCache
 from .program import Program
 from .rules import Rule
 from .terms import Constant, Variable, is_variable
@@ -294,8 +293,6 @@ def seminaive_evaluate(program: Program, database: Database,
 
 
 _STRATEGIES = ("auto", "naive", "seminaive")
-_BACKENDS = ("columnar", "rows")
-_JOINS = ("fused", "basic")
 
 
 def _validate_program(program: Program) -> None:
@@ -322,29 +319,8 @@ class EngineConfig:
         ``max_stages`` is given -- stage-bounded semantics is defined by
         naive rounds), ``"naive"``, or ``"seminaive"``.
     ``compiled``
-        Use the compiled join-plan path instead of the interpretive one.
-    ``backend``
-        Data plane of the compiled path: ``"columnar"`` (the default --
-        :mod:`repro.datalog.columns`: array-of-ids relation columns,
-        batch join kernels, packed-key dedup, cached EDB images) or
-        ``"rows"`` (:mod:`repro.datalog.plan`'s row-at-a-time
-        :class:`~repro.datalog.plan.PlanStore`, kept as the reference
-        path).  Ignored when ``compiled=False``.
-    ``joins``
-        Batch join kernels of the columnar backend: ``"fused"`` (the
-        default -- bitmap semijoin pre-filters, radix-partitioned hash
-        joins, fused filter+project with dead-register elimination and
-        materialized-view reuse; see
-        :func:`~repro.datalog.columns.execute_batch_fused`) or
-        ``"basic"`` (the PR 4 reference kernels, kept as the
-        differential baseline).  Ignored by the ``"rows"`` backend and
-        the interpretive path.
-    ``interning`` / ``indexing``
-        Toggles of the ``"rows"`` backend: intern constants to small
-        ints; maintain per-(predicate, column) hash indexes.  The
-        columnar backend is inherently interned and indexed, and the
-        interpretive path keeps its own lazy indexes -- both ignore
-        these.
+        Use the compiled columnar path (the default) instead of the
+        interpretive oracle.
     ``validate``
         Refuse programs with error-severity static diagnostics:
         :meth:`Engine.evaluate` raises
@@ -357,24 +333,12 @@ class EngineConfig:
 
     strategy: str = "auto"
     compiled: bool = True
-    backend: str = "columnar"
-    joins: str = "fused"
-    interning: bool = True
-    indexing: bool = True
     validate: bool = False
 
     def __post_init__(self):
         if self.strategy not in _STRATEGIES:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; expected one of {_STRATEGIES}"
-            )
-        if self.backend not in _BACKENDS:
-            raise ValidationError(
-                f"unknown backend {self.backend!r}; expected one of {_BACKENDS}"
-            )
-        if self.joins not in _JOINS:
-            raise ValidationError(
-                f"unknown joins {self.joins!r}; expected one of {_JOINS}"
             )
 
 
@@ -401,18 +365,9 @@ class Engine:
         if not cfg.compiled:
             runner = naive_evaluate if use_naive else seminaive_evaluate
             return runner(program, database, max_stages=max_stages)
-        if cfg.backend == "columnar":
-            runner = columnar_naive if use_naive else columnar_seminaive
-            idb, stages, fixpoint = runner(program, database, max_stages,
-                                           cache=self._plans,
-                                           joins=cfg.joins)
-        else:
-            runner = compiled_naive if use_naive else compiled_seminaive
-            idb, stages, fixpoint = runner(
-                program, database, max_stages,
-                interning=cfg.interning, indexing=cfg.indexing,
-                cache=self._plans,
-            )
+        runner = columnar_naive if use_naive else columnar_seminaive
+        idb, stages, fixpoint = runner(program, database, max_stages,
+                                       cache=self._plans)
         return EvaluationResult(idb=idb, stages=stages, fixpoint=fixpoint)
 
     def query(self, program: Program, database: Database, goal: str,

@@ -9,7 +9,7 @@ road-network).  :func:`run_case` executes the case through the full
 configuration matrix and reports every :class:`Divergence`:
 
 * **evaluation** cases run every engine cell of :data:`EVAL_MATRIX`
-  (backend x strategy) and compare the complete fixpoint -- per-IDB
+  (path x strategy) and compare the complete fixpoint -- per-IDB
   row counts and process-independent row checksums -- against the
   interpretive naive engine, the repo's reference semantics;
 * **decision** cases (containment / boundedness / equivalence) run
@@ -58,34 +58,20 @@ from ..workloads.scenarios import kind_runner
 #: Engine cells of the evaluation differential (label -> config).
 #: ``interpretive-naive`` is the oracle: the per-tuple evaluator
 #: running plain naive rounds -- the most elementary semantics in the
-#: repo, against which every compiled/columnar/semi-naive cell must
-#: agree bit-for-bit.
+#: repo, against which the columnar and semi-naive cells must agree
+#: bit-for-bit.
 EVAL_MATRIX: Dict[str, EngineConfig] = {
     "interpretive-naive": EngineConfig(compiled=False, strategy="naive"),
     "interpretive-seminaive": EngineConfig(compiled=False,
                                            strategy="seminaive"),
-    "rows-naive": EngineConfig(compiled=True, backend="rows",
-                               strategy="naive"),
-    "rows-seminaive": EngineConfig(compiled=True, backend="rows",
-                                   strategy="seminaive"),
-    "columnar-naive": EngineConfig(compiled=True, backend="columnar",
-                                   joins="basic", strategy="naive"),
-    "columnar-seminaive": EngineConfig(compiled=True, backend="columnar",
-                                       joins="basic", strategy="seminaive"),
-    # The fused batch kernels (radix hash joins, bitmap semijoin
-    # pre-filters, fused filter+project) as their own cells, so every
-    # random program sweeps them against the interpretive oracle and
-    # the basic columnar reference.
-    "fused-naive": EngineConfig(compiled=True, backend="columnar",
-                                joins="fused", strategy="naive"),
-    "fused-seminaive": EngineConfig(compiled=True, backend="columnar",
-                                    joins="fused", strategy="seminaive"),
+    "columnar-naive": EngineConfig(compiled=True, strategy="naive"),
+    "columnar-seminaive": EngineConfig(compiled=True, strategy="seminaive"),
 }
 
 EVAL_BASELINE = "interpretive-naive"
 
-#: The quick matrix: one strategy per backend (what ``--matrix quick``
-#: selects; the full matrix is the default).
+#: The quick matrix: the oracle plus each path's semi-naive cell (what
+#: ``--matrix quick`` selects; the full matrix is the default).
 EVAL_MATRIX_QUICK = {
     label: config for label, config in EVAL_MATRIX.items()
     if label.endswith("-seminaive") or label == EVAL_BASELINE

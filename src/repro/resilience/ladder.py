@@ -1,15 +1,15 @@
 """The degradation ladder: which cheaper configuration answers when a
 job's own configuration fails.
 
-The engine axis orders the evaluation backends by how much machinery
-sits between the program and the answer -- ``columnar`` (vectorized
-relation storage + batch join kernels) over ``compiled`` (row-oriented
-compiled plans) over ``interpretive`` (the direct reference
-interpreter).  The kernel axis orders the antichain representations:
-``bitset`` (interned bit-vector antichains) over ``frozenset`` (the
-reference sets-of-sets form).  Each step down trades speed for a
-smaller, simpler footprint, which is exactly what a job that just blew
-its memory budget or crashed a worker needs on its retry.
+The engine axis orders the evaluation paths by how much machinery
+sits between the program and the answer -- ``columnar`` (compiled
+plans over vectorized relation storage + batch join kernels) over
+``interpretive`` (the direct reference interpreter).  The kernel axis
+orders the antichain representations: ``bitset`` (interned bit-vector
+antichains) over ``frozenset`` (the reference sets-of-sets form).
+Each step down trades speed for a smaller, simpler footprint, which is
+exactly what a job that just blew its memory budget or crashed a
+worker needs on its retry.
 
 Decision-kind jobs (containment / equivalence / boundedness) spend
 their time in the antichain kernels, so they degrade along the kernel
@@ -30,9 +30,9 @@ __all__ = [
     "rung_label",
 ]
 
-#: Engine backends, fastest/heaviest first (labels match
+#: Engine paths, fastest/heaviest first (labels match
 #: ``repro.runner.batch.ENGINE_CONFIGS``).
-ENGINE_CHAIN: Tuple[str, ...] = ("columnar", "compiled", "interpretive")
+ENGINE_CHAIN: Tuple[str, ...] = ("columnar", "interpretive")
 
 #: Antichain kernels, fastest/heaviest first (labels match
 #: ``repro.runner.batch.KERNEL_CONFIGS``).
@@ -58,7 +58,7 @@ def ladder_rungs(engine: str, kernel: str,
         >>> ladder_rungs("columnar", "bitset", decision=True)
         [('columnar', 'bitset'), ('columnar', 'frozenset')]
         >>> ladder_rungs("columnar", "bitset", decision=False)
-        [('columnar', 'bitset'), ('compiled', 'bitset'), ('interpretive', 'bitset')]
+        [('columnar', 'bitset'), ('interpretive', 'bitset')]
         >>> ladder_rungs("interpretive", "frozenset", decision=False)
         [('interpretive', 'frozenset')]
     """

@@ -17,7 +17,7 @@ Examples::
     python -m repro.runner --scenarios kind:boundedness --kernels bitset
     python -m repro.runner --scenarios tag:bench --cache cold --no-write
     python -m repro.runner --scenarios tag:bench --workers 4 --verify-serial
-    python -m repro.runner --scenarios tag:scale --engines columnar,compiled
+    python -m repro.runner --scenarios tag:scale --engines columnar,interpretive
     python -m repro.runner --scenarios tag:bench --deadline 30 \
         --chaos "crash:scenario=eval_tc_grid_10x10,attempt=1"
 

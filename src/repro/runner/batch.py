@@ -47,8 +47,8 @@ Design points (each load-bearing for correctness or fairness):
   (``Decision.error`` set, exit code 2 from the CLI) for jobs that
   never succeed.  A :class:`~repro.resilience.ResilienceConfig` adds
   per-job deadlines, the degradation ladder (failed jobs retry one
-  rung down: columnar -> compiled -> interpretive, bitset ->
-  frozenset), and deterministic chaos injection for the fault tests.
+  rung down: columnar -> interpretive, bitset -> frozenset), and
+  deterministic chaos injection for the fault tests.
 """
 
 from __future__ import annotations
@@ -81,11 +81,9 @@ from ..workloads.scenarios import (
 
 #: Named engine configurations the matrix can range over.  "columnar"
 #: is the shipped default (batch join kernels over column stores);
-#: "compiled" pins the row-at-a-time PlanStore reference; "interpretive"
-#: is the original per-tuple evaluator.
+#: "interpretive" is the per-tuple evaluator, its oracle.
 ENGINE_CONFIGS: Dict[str, EngineConfig] = {
-    "columnar": EngineConfig(compiled=True, backend="columnar"),
-    "compiled": EngineConfig(compiled=True, backend="rows"),
+    "columnar": EngineConfig(compiled=True),
     "interpretive": EngineConfig(compiled=False),
 }
 
@@ -110,7 +108,7 @@ class Job:
 
 
 def build_jobs(scenarios: Sequence[str],
-               engines: Sequence[str] = ("compiled",),
+               engines: Sequence[str] = ("columnar",),
                kernels: Sequence[str] = ("bitset", "frozenset"),
                cache: str = "warm") -> List[Job]:
     """The deterministic job matrix for *scenarios*.

@@ -1,9 +1,10 @@
 """Machine-readable benchmark trajectories (``BENCH_*.json``).
 
 Shared by ``python -m repro.runner`` and the standalone
-``benchmarks/run_bench.py``: run metadata (commit, interpreter,
-machine) and append-only JSON trajectory files, so performance and
-verdict records accumulate across commits in one place.  The schema is
+``benchmarks/run_bench.py``: run metadata (commit, dirty flag,
+interpreter, machine) and append-only JSON trajectory files, so
+performance and verdict records accumulate across commits in one
+place.  The schema is
 documented in ``docs/BENCHMARKS.md``.
 """
 
@@ -14,7 +15,7 @@ import platform
 import subprocess
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 #: Decision-stack records (containment / equivalence / boundedness).
 AUTOMATA_TRAJECTORY = "BENCH_automata.json"
@@ -38,18 +39,32 @@ def find_repo_root(start: Path = None) -> Path:
     return Path.cwd()
 
 
-def run_metadata(repo_root: Path) -> Dict:
-    """Commit / interpreter / machine stamp for one trajectory record."""
+def _git(repo_root: Path, *args: str) -> Optional[str]:
+    """``git <args>`` output in *repo_root*, or ``None`` when git or
+    the checkout is unavailable."""
     try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=repo_root,
+        return subprocess.run(
+            ["git", *args], cwd=repo_root,
             capture_output=True, text=True, check=True,
-        ).stdout.strip()
+        ).stdout
     except Exception:
-        commit = "unknown"
+        return None
+
+
+def run_metadata(repo_root: Path) -> Dict:
+    """Commit / interpreter / machine stamp for one trajectory record.
+
+    ``dirty`` tells whether the working tree differed from ``commit``
+    when the record was measured (``git status --porcelain`` listed
+    anything): a dirty record measured uncommitted code, not the code
+    ``commit`` names.  ``None`` when git is unavailable.
+    """
+    commit = _git(repo_root, "rev-parse", "--short", "HEAD")
+    status = _git(repo_root, "status", "--porcelain")
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "commit": commit,
+        "commit": commit.strip() if commit is not None else "unknown",
+        "dirty": bool(status.strip()) if status is not None else None,
         "python": platform.python_version(),
         "machine": platform.machine(),
     }

@@ -30,6 +30,11 @@ Kind-specific ``decide`` fields: equivalence takes ``nonrecursive``
 or ``union_depth`` (the program's own depth-k expansion union);
 boundedness takes ``max_depth`` (default 4).
 
+``engine`` is ``"columnar"`` (the default) or ``"interpretive"``.  The
+retired label ``"compiled"`` is still accepted and decodes to
+``"columnar"``, so older clients keep working and share cache and
+coalescing entries with columnar requests.
+
 Response shapes (see the golden files under ``tests/golden/service/``,
 which pin every one of them)::
 
@@ -186,12 +191,16 @@ def _choice(value: str, choices, what: str) -> str:
     return value
 
 
+#: Retired engine labels the wire still accepts -> canonical label.
+ENGINE_ALIASES = {"compiled": "columnar"}
+
+
 def _config_fields(fields: Mapping, what: str, *,
                    kernel: bool = True) -> Dict[str, Any]:
+    engine = _optional(fields, "engine", str, what, "columnar")
     payload: Dict[str, Any] = {
-        "engine": _choice(
-            _optional(fields, "engine", str, what, "columnar"),
-            ENGINE_CONFIGS, "engine"),
+        "engine": _choice(ENGINE_ALIASES.get(engine, engine),
+                          ENGINE_CONFIGS, "engine"),
     }
     if kernel:
         payload["kernel"] = _choice(

@@ -360,7 +360,7 @@ def power_law_edges(nodes: int, edges: int, seed: int = 0) -> List[Edge]:
     drawn from a degree-weighted urn, so a few hubs collect most of
     the in/out-degree).  Deterministic in *seed*; the skewed join
     cardinalities are what the differential fuzz sweep uses to stress
-    the batch join kernels against the row-at-a-time reference."""
+    the batch join kernels against the interpretive oracle."""
     if nodes < 2:
         raise ValueError("nodes must be >= 2")
     rng = random.Random(seed)

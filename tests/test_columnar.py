@@ -1,13 +1,13 @@
 """Differential fuzz suite for the columnar data plane.
 
 The contract of :mod:`repro.datalog.columns` is *bit-identical
-semantics*: for every program and database, the columnar backend must
+semantics*: for every program and database, the columnar path must
 return exactly the :class:`~repro.datalog.engine.EvaluationResult` --
-``idb`` rows, ``stages``, ``fixpoint`` -- of the row-at-a-time compiled
-path and the interpretive reference, across naive/semi-naive/stage-
-bounded execution.  Randomly generated programs (seed-deterministic,
-from :mod:`repro.workloads.generators`) are crossed with chain / grid /
-random EDB families and all three backends are compared on every cell.
+``idb`` rows, ``stages``, ``fixpoint`` -- of the interpretive oracle,
+across naive/semi-naive/stage-bounded execution.  Randomly generated
+programs (seed-deterministic, from :mod:`repro.workloads.generators`)
+are crossed with chain / grid / random EDB families and both paths are
+compared on every cell.
 
 Also covers the storage substrate itself: packed-key round-trips, the
 unique-key index specialization, the cached EDB image lifecycle (and
@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.instances import clear_shared_caches
 from repro.datalog.columns import (
-    ColumnStore,
     _EDB_IMAGES,
     _pack,
     _unpack,
@@ -28,21 +27,20 @@ from repro.datalog.columns import (
 )
 from repro.datalog.database import Database
 from repro.datalog.engine import Engine, EngineConfig
-from repro.datalog.errors import ArityError, ValidationError
+from repro.datalog.errors import ArityError
 from repro.datalog.magic import derived_fact_count, magic_query
 from repro.datalog.parser import parse_program
 from repro.programs.library import plain_transitive_closure
 from repro.workloads import generators as gen
 from repro.workloads.scenarios import LazyExpected, get_scenario, run_scenario
 
-COLUMNAR = Engine(EngineConfig(backend="columnar"))
-ROWS = Engine(EngineConfig(backend="rows"))
+COLUMNAR = Engine(EngineConfig())
 INTERPRETIVE = Engine(EngineConfig(compiled=False))
-ENGINES = [COLUMNAR, ROWS, INTERPRETIVE]
+ENGINES = [COLUMNAR, INTERPRETIVE]
 
 
 def assert_identical(program, database, max_stages=None):
-    """All three backends agree on idb rows, stages, and fixpoint."""
+    """Both paths agree on idb rows, stages, and fixpoint."""
     results = [engine.evaluate(program, database, max_stages=max_stages)
                for engine in ENGINES]
     first = results[0]
@@ -69,7 +67,7 @@ EDB_FAMILIES = [
 
 
 # ----------------------------------------------------------------------
-# The fuzz matrix: random programs x EDB families x backends.
+# The fuzz matrix: random programs x EDB families x paths.
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(12))
@@ -89,17 +87,13 @@ def test_random_program_differential(seed, family):
 def test_forced_strategy_differential(strategy):
     program = gen.random_program(5)
     database = edb_for(program, gen.chain_edges(8))
-    results = [
-        Engine(EngineConfig(strategy=strategy, compiled=True,
-                            backend=backend)).evaluate(program, database)
-        for backend in ("columnar", "rows")
-    ]
+    result = Engine(EngineConfig(strategy=strategy)).evaluate(program,
+                                                              database)
     interp = Engine(EngineConfig(strategy=strategy,
                                  compiled=False)).evaluate(program, database)
-    for result in results:
-        assert result.idb == interp.idb
-        assert result.stages == interp.stages
-        assert result.fixpoint == interp.fixpoint
+    assert result.idb == interp.idb
+    assert result.stages == interp.stages
+    assert result.fixpoint == interp.fixpoint
 
 
 def test_random_programs_deterministic():
@@ -161,14 +155,14 @@ def test_magic_rewriting_differential():
     database = gen.edges_database(gen.star_edges(4, 6), ("e",))
     answers = [magic_query(program, database, "p", "bf", ("r0_0",),
                            engine=engine) for engine in ENGINES]
-    assert answers[0] == answers[1] == answers[2]
+    assert answers[0] == answers[1]
     counts = [derived_fact_count(program, database, "p", "bf", ("r0_0",),
                                  engine=engine) for engine in ENGINES]
-    assert counts[0] == counts[1] == counts[2]
+    assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("engine", [COLUMNAR, ROWS],
-                         ids=["columnar", "rows"])
+@pytest.mark.parametrize("engine", [COLUMNAR, INTERPRETIVE],
+                         ids=["columnar", "interpretive"])
 def test_scale_smoke_scenario_ground_truth(engine):
     result = run_scenario(get_scenario("scale_chain_2hop_5k"), engine=engine)
     assert result["ok"], result["verdict"]
@@ -229,23 +223,6 @@ def test_column_store_seed_rows_are_private():
     result = assert_identical(program, db)
     assert len(result.facts("p")) > image_rows
     assert edb_image(db).counts["p"] == image_rows
-
-
-def test_column_store_duck_types_plan_resolution():
-    program = parse_program("p(X) :- e(v0, X).")
-    db = gen.edges_database(gen.chain_edges(3), ("e",))
-    store = ColumnStore(db, idb=program.idb_predicates)
-    from repro.datalog.plan import PlanCache
-
-    rplan = PlanCache().plan(program.rules[0], None).resolve(store)
-    store.seal()
-    assert store.base > 0
-    assert rplan.nregs >= 1
-
-
-def test_backend_knob_validated():
-    with pytest.raises(ValidationError, match="unknown backend"):
-        EngineConfig(backend="gpu")
 
 
 # ----------------------------------------------------------------------

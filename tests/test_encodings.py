@@ -283,8 +283,6 @@ class TestEncodingVerdicts:
         configs = m.run_configurations(4)[:2]
         db = trace_database(m, configs, 1, corrupt_counter_at=corrupt_at)
         expected = 0 if corrupt_at < 0 else 1
-        for config in (EngineConfig(),
-                       EngineConfig(compiled=True, backend="rows"),
-                       EngineConfig(compiled=False)):
+        for config in (EngineConfig(), EngineConfig(compiled=False)):
             rows = Engine(config).query(enc6.nonrecursive, db, "c")
             assert len(rows) == expected, config

@@ -2,8 +2,9 @@
 
 Differential coverage against the interpretive reference path on the
 library programs (including unsafe / empty-body rules and the
-stage-bounded semantics), plan-compiler unit checks, and
-index-maintenance tests for both stores' ``add_all``.
+stage-bounded semantics), plan-compiler unit checks, plan resolution
+against the columnar store, and index maintenance of both stores
+(the interpretive ``_Store.add_all`` and ``ColumnStore.add_keys``).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import random
 
 import pytest
 
+from repro.datalog.columns import ColumnStore
 from repro.datalog.database import Database
 from repro.datalog.engine import (
     Engine,
@@ -24,7 +26,14 @@ from repro.datalog.engine import (
 )
 from repro.datalog.errors import ValidationError
 from repro.datalog.parser import parse_program
-from repro.datalog.plan import JoinPlan, PlanCache, PlanStore, compile_program
+from repro.datalog.plan import (
+    OP_BIND,
+    OP_CHECK,
+    OP_CONST,
+    JoinPlan,
+    PlanCache,
+    compile_program,
+)
 from repro.datalog.terms import Constant
 from repro.programs import library as lib
 
@@ -87,14 +96,18 @@ class TestDifferential:
         assert compiled.stages == interpretive.stages
         assert compiled.fixpoint == interpretive.fixpoint
 
-    @pytest.mark.parametrize("interning", [True, False])
-    @pytest.mark.parametrize("indexing", [True, False])
-    def test_config_ablations_agree(self, interning, indexing):
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_config_ablations_agree(self, compiled, validate):
+        # Every combination of the engine's boolean knobs computes the
+        # same fixpoint (the validate gate accepts this safe program).
         program = lib.plain_transitive_closure()
         db = labeled_graph(seed=11)
-        engine = Engine(EngineConfig(interning=interning, indexing=indexing))
-        assert (engine.evaluate(program, db).idb
-                == INTERPRETIVE.evaluate(program, db).idb)
+        engine = Engine(EngineConfig(compiled=compiled, validate=validate))
+        result = engine.evaluate(program, db)
+        reference = INTERPRETIVE.evaluate(program, db)
+        assert result.idb == reference.idb
+        assert result.stages == reference.stages
 
     def test_unsafe_and_empty_body_rules(self):
         # dist_le carries the paper's empty-body rules dist0(X, X) :- .
@@ -212,39 +225,100 @@ class TestStoreIndexMaintenance:
         store.add_all("f", {(a, b)})
         assert store.candidates("e", 0, a) == {(a, b), (a, c)}
 
-    def test_plan_store_add_all_maintains_registered_indexes(self):
+    def test_column_store_add_keys_maintains_indexes(self):
         db = Database.from_facts([("e", ("a", "b"))])
-        store = PlanStore(db, interning=True, indexing=True)
-        store.require_index("e", 0)
-        a = store.resolve(Constant("a"))
-        b = store.resolve(Constant("b"))
-        c = store.resolve(Constant("c"))
-        assert store.candidates("e", 0, a) == {(a, b)}
-        fresh = store.add_all("e", {(a, c), (a, b)})
-        assert fresh == {(a, c)}
-        assert store.candidates("e", 0, a) == {(a, b), (a, c)}
-        assert store.rows("e") == {(a, b), (a, c)}
+        store = ColumnStore(db, idb={"e"})
+        a, b, c = (store.resolve(Constant(v)) for v in "abc")
+        store.seal()
+        base = store.base
+        # Force the private index into existence, then insert more rows.
+        index, unique = store.index("e", 0)
+        assert not unique and index == {a: [0]}
+        fresh = store.add_keys("e", [a * base + c, a * base + b], 2)
+        assert fresh.n == 1 and fresh.cols == [[a], [c]]
+        assert store.index("e", 0)[0] == {a: [0, 1]}
+        assert store.cols("e") == [[a, a], [b, c]]
 
-    def test_plan_store_interning_round_trip(self):
+    def test_column_store_interning_round_trip(self):
         db = Database.from_facts([("e", ("a", 1)), ("e", ("b", 2))])
-        store = PlanStore(db)
+        store = ColumnStore(db, idb=())
         rows = store.unintern_rows("e")
         assert rows == frozenset({
             (Constant("a"), Constant(1)), (Constant("b"), Constant(2)),
         })
         # Interned values are small ints.
-        assert all(isinstance(v, int) for row in store.rows("e") for v in row)
+        assert all(isinstance(v, int) for col in store.cols("e") for v in col)
 
-    def test_plan_store_domain_tracks_inserts_and_constants(self):
+    def test_column_store_domain_tracks_inserts_and_constants(self):
         db = Database.from_facts([("e", ("a", "b"))])
-        store = PlanStore(db)
+        store = ColumnStore(db, idb={"e"})
         before = len(store.domain())
         store.resolve(Constant("k"))
-        store.add_all("e", {(0, 1)})  # already-known values
+        store.seal()
+        store.add_keys("e", [0 * store.base + 1], 2)  # already-known values
         assert len(store.domain()) == before + 1
 
-    def test_add_all_returns_only_new_rows(self):
+    def test_add_keys_returns_only_new_rows(self):
         db = Database.from_facts([("e", ("a", "b"))])
-        store = PlanStore(db)
-        row = next(iter(store.rows("e")))
-        assert store.add_all("e", {row}) == set()
+        store = ColumnStore(db, idb={"e"})
+        store.seal()
+        (key,) = store.keyset("e")
+        assert store.add_keys("e", [key], 2) is None
+        assert store.count("e") == 1
+
+
+class TestPlanResolution:
+    """``JoinPlan.resolve`` against the columnar store."""
+
+    def test_constants_resolve_to_interned_ids(self):
+        program = parse_program("p(X, k) :- e(X, c), f(X, c).")
+        db = Database.from_facts([("e", ("a", "c")), ("f", ("a", "c"))])
+        store = ColumnStore(db, idb=program.idb_predicates)
+        plan = JoinPlan(program.rules[0])
+        rplan = plan.resolve(store)
+        c = store.resolve(Constant("c"))
+        k = store.resolve(Constant("k"))
+        # The first step probes its constant position: the index spec
+        # carries the interned id.
+        position, is_reg, payload = rplan.steps[0][2]
+        assert (is_reg, payload) == (False, c)
+        # Remaining constant ops and head constants are interned too.
+        const_payloads = {payload for step in rplan.steps
+                          for _, op, payload in step[3] if op == OP_CONST}
+        assert const_payloads <= {c}
+        assert rplan.head_ops[1] == (False, k)
+        store.seal()
+        assert store.base > max(c, k)
+
+    def test_index_position_op_dropped(self, tc_program):
+        plan = JoinPlan(tc_program.rules[0])  # p(X,Y) :- e(X,Z), p(Z,Y).
+        store = ColumnStore(Database.from_facts([("e", ("a", "b"))]),
+                            idb=tc_program.idb_predicates)
+        rplan = plan.resolve(store)
+        for (_, _, spec, ops), (_, _, _, symbolic_ops) in zip(rplan.steps,
+                                                             plan.steps):
+            if spec is None:
+                assert ops == symbolic_ops
+                continue
+            # The probe step checked its join column against a register;
+            # candidate rows satisfy it already, so the op is gone.
+            position = spec[0]
+            assert all(pos != position for pos, _, _ in ops)
+            assert len(ops) == len(symbolic_ops) - 1
+        probe_ops = rplan.steps[1][3]
+        assert [op for _, op, _ in probe_ops] == [OP_BIND]
+        assert any(op == OP_CHECK for _, op, _ in plan.steps[1][3])
+
+    def test_unsafe_head_registers_survive_resolution(self):
+        program = parse_program("p(X, Y) :- e(X, X).")
+        db = Database.from_facts([("e", ("a", "a"))])
+        plan = JoinPlan(program.rules[0])
+        rplan = plan.resolve(ColumnStore(db, idb=program.idb_predicates))
+        assert rplan.unsafe_regs == plan.unsafe_regs
+        assert len(rplan.unsafe_regs) == 1
+        # The unsafe register is projected by the head, never bound by
+        # the body.
+        bound = {payload for step in rplan.steps
+                 for _, op, payload in step[3] if op == OP_BIND}
+        assert rplan.unsafe_regs[0] not in bound
+        assert (True, rplan.unsafe_regs[0]) in rplan.head_ops

@@ -61,7 +61,7 @@ SMALL = ["bounded_buys", "contain_tc_trunc2"]
 
 
 def small_jobs(kernels=("bitset", "frozenset"), scenarios=SMALL):
-    return build_jobs(scenarios, engines=("compiled",), kernels=kernels)
+    return build_jobs(scenarios, engines=("columnar",), kernels=kernels)
 
 
 # ----------------------------------------------------------------------
@@ -141,24 +141,23 @@ def test_hang_fault_is_cut_by_the_deadline():
 
 def test_ladder_rungs_axes():
     # Decision kinds degrade the kernel axis from their own position.
-    assert ladder_rungs("compiled", "bitset", decision=True) == [
-        ("compiled", "bitset"), ("compiled", "frozenset")]
-    assert ladder_rungs("compiled", "frozenset", decision=True) == [
-        ("compiled", "frozenset")]
+    assert ladder_rungs("columnar", "bitset", decision=True) == [
+        ("columnar", "bitset"), ("columnar", "frozenset")]
+    assert ladder_rungs("columnar", "frozenset", decision=True) == [
+        ("columnar", "frozenset")]
     # Evaluation kinds degrade the engine axis.
     assert ladder_rungs("columnar", "bitset", decision=False) == [
-        ("columnar", "bitset"), ("compiled", "bitset"),
-        ("interpretive", "bitset")]
+        ("columnar", "bitset"), ("interpretive", "bitset")]
     # Unknown labels degrade nowhere: retry in place.
     assert ladder_rungs("custom", "bitset", decision=False) == [
         ("custom", "bitset")]
-    assert rung_label("compiled", "bitset") == "compiled/bitset"
+    assert rung_label("columnar", "bitset") == "columnar/bitset"
     assert ENGINE_CHAIN[0] == "columnar" and KERNEL_CHAIN[-1] == "frozenset"
 
 
 def test_backoff_is_deterministic_and_bounded():
     policy = RetryPolicy(backoff_base_s=0.05, backoff_max_s=2.0)
-    key = "bounded_buys/compiled/bitset/warm"
+    key = "bounded_buys/columnar/bitset/warm"
     assert policy.backoff(key, 0) == 0.0
     series = [policy.backoff(key, n) for n in range(1, 8)]
     assert series == [policy.backoff(key, n) for n in range(1, 8)]
@@ -257,14 +256,14 @@ def test_memory_fault_recovers_on_a_degraded_rung():
     [decision] = run_shard(jobs, resilience=config)
     assert decision.ok is True
     assert decision.attempts == 2
-    assert decision.degraded_to == "compiled/frozenset"
+    assert decision.degraded_to == "columnar/frozenset"
     assert decision["verdict"] == clean[0]["verdict"]
     assert any("memory" in entry
                for entry in decision.stats["retried_after"])
     # The record survives a JSON round-trip with the new fields.
     record = json.loads(json.dumps(decision.record()))
     assert record["attempts"] == 2
-    assert record["degraded_to"] == "compiled/frozenset"
+    assert record["degraded_to"] == "columnar/frozenset"
     assert "error" not in record
 
 
@@ -300,7 +299,7 @@ def test_hang_fault_is_bounded_and_recovered_serially():
 
 def test_quarantine_decision_shape():
     decision = quarantine_decision(
-        Job("bounded_buys", "compiled", "bitset", "warm"),
+        Job("bounded_buys", "columnar", "bitset", "warm"),
         attempts=3, category="crash", message="worker died")
     record = json.loads(json.dumps(decision.record()))
     assert record["kind"] == "boundedness"
@@ -368,19 +367,19 @@ def test_worker_init_disarms_stale_itimer():
 
 def test_cli_recovers_and_exits_zero(capsys):
     code = runner_cli.main([
-        "--scenarios", "bounded_buys", "--engines", "compiled",
+        "--scenarios", "bounded_buys", "--engines", "columnar",
         "--kernels", "bitset", "--no-write",
         "--chaos", "memory:scenario=bounded_buys,attempt=1"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "attempts=2" in out and "degraded_to=compiled/frozenset" in out
+    assert "attempts=2" in out and "degraded_to=columnar/frozenset" in out
     assert "error summary:" in out and "answered degraded: 1" in out
 
 
 def test_cli_quarantine_exits_two_and_writes_artifact(tmp_path, capsys):
     artifact = tmp_path / "quarantine.json"
     code = runner_cli.main([
-        "--scenarios", "bounded_buys", "--engines", "compiled",
+        "--scenarios", "bounded_buys", "--engines", "columnar",
         "--kernels", "bitset", "--no-write", "--max-attempts", "2",
         "--chaos", "crash:scenario=bounded_buys,attempt=*",
         "--quarantine-out", str(artifact)])

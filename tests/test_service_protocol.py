@@ -321,12 +321,23 @@ def test_defaults_make_coalescing_honest():
 
 def test_distinct_configs_never_share_a_key():
     keys = set()
-    for engine in ("columnar", "compiled", "interpretive"):
+    for engine in ("columnar", "interpretive"):
         for kernel in ("bitset", "frozenset"):
             keys.add(coalesce_key(decode_request(json.dumps(
                 {"op": "scenario", "scenario": "bounded_buys",
                  "engine": engine, "kernel": kernel}))))
-    assert len(keys) == 6
+    assert len(keys) == 4
+
+
+def test_retired_compiled_engine_decodes_to_columnar():
+    """Old clients may still send ``"engine": "compiled"``: it decodes
+    to the canonical label and shares the columnar coalescing key."""
+    old, new = (decode_request(json.dumps(
+        {"op": "scenario", "scenario": "bounded_buys", "engine": engine}))
+        for engine in ("compiled", "columnar"))
+    assert old.engine == "columnar"
+    assert dict(old.payload) == dict(new.payload)
+    assert coalesce_key(old) == coalesce_key(new)
 
 
 def test_fingerprint_matches_session():
@@ -335,9 +346,9 @@ def test_fingerprint_matches_session():
     from repro.runner.batch import ENGINE_CONFIGS, KERNEL_CONFIGS
     from repro.session import Session
 
-    session = Session(engine=ENGINE_CONFIGS["compiled"],
+    session = Session(engine=ENGINE_CONFIGS["interpretive"],
                       kernel=KERNEL_CONFIGS["frozenset"])
-    assert fingerprint_for("compiled", "frozenset") == session.fingerprint
+    assert fingerprint_for("interpretive", "frozenset") == session.fingerprint
 
 
 def test_every_op_has_a_request_case():
